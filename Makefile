@@ -42,20 +42,22 @@ bench-compare:
 bench-baseline:
 	$(GO) run ./cmd/bench -iters-scale $(BENCH_ITERS_SCALE) -o BENCH_baseline.json
 
-# Distributed-sweep smoke test: compute fig2a as two shards, merge the
-# shard cell files, and require the merged .dat to be byte-identical to
-# an unsharded run — the Grid engine's sharding contract, end to end
-# through the real CLI.
-SWEEP_SMOKE_DIR ?= .sweep-smoke
+# Figure smoke tests (scripts/figure_smoke.sh): run a figure small
+# through the real CLI and require a 2-shard merge byte-identical to the
+# unsharded run — the Grid engine's sharding contract, end to end. The
+# refine and churn figures also diff their .dat against the committed
+# golden and run their per-cell dominance gate (Refined never costs more
+# than the best feasible constructive heuristic; churn repair within
+# tolerance of re-solve on every scenario, strictly fewer operators
+# migrated over the grid).
 sweep-smoke:
-	rm -rf $(SWEEP_SMOKE_DIR)
-	$(GO) run ./cmd/experiments -seeds 2 -only fig2a -workers 2 -out $(SWEEP_SMOKE_DIR)/full >/dev/null
-	$(GO) run ./cmd/experiments -seeds 2 -only fig2a -workers 2 -shard 0/2 -out $(SWEEP_SMOKE_DIR)/shards >/dev/null
-	$(GO) run ./cmd/experiments -seeds 2 -only fig2a -workers 2 -shard 1/2 -out $(SWEEP_SMOKE_DIR)/shards >/dev/null
-	$(GO) run ./cmd/experiments -seeds 2 -only fig2a -merge 2 -out $(SWEEP_SMOKE_DIR)/shards >/dev/null
-	cmp $(SWEEP_SMOKE_DIR)/full/fig2a.dat $(SWEEP_SMOKE_DIR)/shards/fig2a.dat
-	@echo "sweep-smoke: sharded merge byte-identical to the unsharded run"
-	rm -rf $(SWEEP_SMOKE_DIR)
+	GO=$(GO) sh scripts/figure_smoke.sh fig2a
+
+refine-smoke:
+	GO=$(GO) sh scripts/figure_smoke.sh refine scripts/testdata/refine_smoke.dat -refine-gate
+
+churn-smoke:
+	GO=$(GO) sh scripts/figure_smoke.sh churn scripts/testdata/churn_smoke.dat -churn-gate
 
 # Allocation-daemon smoke test: build cmd/serve, boot it on an
 # ephemeral port, hit /healthz, /v1/solve and /v1/verify over real
@@ -77,25 +79,6 @@ serve-smoke:
 COORD_SMOKE_DIR ?= .coord-smoke
 coord-smoke:
 	COORD_SMOKE_DIR=$(COORD_SMOKE_DIR) GO=$(GO) sh scripts/coord_smoke.sh
-
-# Refinement-layer smoke test: run the refine figure (heuristics vs
-# Refined vs Exact) small through the real CLI, diff its .dat against
-# the committed golden, require a 2-shard merge to be byte-identical,
-# and enforce the per-instance dominance gate (Refined never costs
-# more than the best feasible constructive heuristic on any cell).
-REFINE_SMOKE_DIR ?= .refine-smoke
-refine-smoke:
-	REFINE_SMOKE_DIR=$(REFINE_SMOKE_DIR) GO=$(GO) sh scripts/refine_smoke.sh
-
-# Churn-subsystem smoke test: run the churn figure (journaled local
-# repair vs from-scratch re-solve over dynamic scenarios) small through
-# the real CLI, diff its .dat against the committed golden, require a
-# 2-shard merge to be byte-identical, and enforce the dominance gate
-# (repair cost within tolerance of re-solve on every scenario, strictly
-# fewer operators migrated over the grid).
-CHURN_SMOKE_DIR ?= .churn-smoke
-churn-smoke:
-	CHURN_SMOKE_DIR=$(CHURN_SMOKE_DIR) GO=$(GO) sh scripts/churn_smoke.sh
 
 # Documentation gate: every non-main package must carry a "// Package
 # <name> ..." godoc comment, and every local link in README.md and

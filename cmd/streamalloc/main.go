@@ -66,13 +66,14 @@ func main() {
 
 	var best *streamalloc.Result
 	if *name == "all" {
+		// SolveAll sorts by cost, so the first feasible outcome is the best.
 		for _, o := range solver.SolveAll(in) {
 			if o.Err != nil {
 				fmt.Printf("%-22s FAILED: %v\n", o.Name, o.Err)
 				continue
 			}
 			fmt.Printf("%-22s $%-8.0f (%d processors)\n", o.Name, o.Result.Cost, o.Result.Procs)
-			if best == nil || o.Result.Cost < best.Cost {
+			if best == nil {
 				best = o.Result
 			}
 		}

@@ -36,6 +36,11 @@ func TotalDownload(in *instance.Instance) float64 {
 	return total
 }
 
+// CeilEps is subtracted from a processor-count ratio before rounding it
+// up, so a ratio that is a whole number up to float rounding does not
+// count one processor too many.
+const CeilEps = 1e-9
+
 // MinProcessors returns a lower bound on the number of processors any
 // feasible mapping purchases: enough aggregate CPU for the total work and
 // enough aggregate NIC for the mandatory downloads, given that a single
@@ -44,10 +49,10 @@ func MinProcessors(in *instance.Instance) int {
 	cat := in.Platform.Catalog
 	best := cat.MostExpensive()
 	n := 1
-	if c := int(math.Ceil(TotalWork(in)/cat.SpeedUnits(best) - 1e-9)); c > n {
+	if c := int(math.Ceil(TotalWork(in)/cat.SpeedUnits(best) - CeilEps)); c > n {
 		n = c
 	}
-	if c := int(math.Ceil(TotalDownload(in)/cat.BandwidthMBps(best) - 1e-9)); c > n {
+	if c := int(math.Ceil(TotalDownload(in)/cat.BandwidthMBps(best) - CeilEps)); c > n {
 		n = c
 	}
 	return n

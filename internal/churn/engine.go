@@ -292,7 +292,7 @@ func (e *Engine) Start(sc *Scenario) error {
 		return fmt.Errorf("churn: initial workload: %v", err)
 	}
 	e.fillOffsets(len(e.mapps))
-	if !e.resolveInto(in, rng.SeedFor(e.opts.Seed, "churn:init")) {
+	if !e.resolveInto(in, rng.SeedFor(e.opts.Seed, "churn:init"), math.Inf(1)) {
 		return fmt.Errorf("churn: initial workload infeasible: %w", heuristics.ErrInfeasible)
 	}
 	e.snap, e.next = e.next, e.snap
@@ -422,7 +422,7 @@ func (e *Engine) Step(ctx context.Context, ev Event) (EventResult, error) {
 
 	outcome := Rejected
 	if e.opts.Policy == PolicyResolve {
-		if e.resolveInto(in, e.eventSeed(e.resSeed)) {
+		if e.resolveInto(in, e.eventSeed(e.resSeed), math.Inf(1)) {
 			outcome = Resolved
 		}
 	} else {
@@ -547,7 +547,7 @@ func (e *Engine) repair(ctx context.Context, in *instance.Instance, ev Event) (O
 	// guard runs only on cost-increasing events, so steady-state churn
 	// keeps repair's latency.
 	if m.Cost() > e.snap.cost+mapping.Eps &&
-		e.resolveBelow(in, e.eventSeed(e.resSeed), m.Cost()-mapping.Eps) {
+		e.resolveInto(in, e.eventSeed(e.resSeed), m.Cost()) {
 		return Resolved, nil
 	}
 	return Repaired, nil
@@ -555,7 +555,7 @@ func (e *Engine) repair(ctx context.Context, in *instance.Instance, ev Event) (O
 
 // fallback answers the event with the constructive portfolio.
 func (e *Engine) fallback(in *instance.Instance) (Outcome, error) {
-	if e.resolveInto(in, e.eventSeed(e.resSeed)) {
+	if e.resolveInto(in, e.eventSeed(e.resSeed), math.Inf(1)) {
 		return Resolved, nil
 	}
 	return Rejected, nil
@@ -611,30 +611,16 @@ func (e *Engine) finish(m *mapping.Mapping, in *instance.Instance) bool {
 }
 
 // resolveInto runs the six-way constructive portfolio on the combined
-// instance and snapshots the cheapest feasible result into e.next.
-// Reports false when every heuristic fails.
-func (e *Engine) resolveInto(in *instance.Instance, seed int64) bool {
-	return e.resolveBelow(in, seed, math.Inf(1))
-}
-
-// resolveBelow is resolveInto with a bar: only results strictly cheaper
-// than bar are snapshotted into e.next (the portfolio guard's "beat the
-// repaired answer or leave it installed" comparison). Reports whether
-// any heuristic went below the bar.
-func (e *Engine) resolveBelow(in *instance.Instance, seed int64, bar float64) bool {
-	found := false
-	for _, h := range e.all {
-		res, err := e.sc.Solve(in, h, heuristics.Options{Seed: seed})
-		if err != nil {
-			continue
-		}
-		if res.Cost < bar-mapping.Eps {
-			bar = res.Cost
-			found = true
-			e.snapInto(&e.next, res.Mapping)
-		}
+// instance and snapshots its winner into e.next when the winner beats
+// bar by more than mapping.Eps (+Inf means no bar; the portfolio guard
+// passes the repaired answer's cost). Reports whether it snapshotted.
+func (e *Engine) resolveInto(in *instance.Instance, seed int64, bar float64) bool {
+	best, err := e.sc.Portfolio(context.Background(), in, e.all, heuristics.Options{Seed: seed}, nil)
+	if err != nil || best.Cost >= bar-mapping.Eps {
+		return false
 	}
-	return found
+	e.snapInto(&e.next, best.Mapping)
+	return true
 }
 
 // snapInto captures m as a dense snapshot against the staged

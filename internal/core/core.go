@@ -15,22 +15,22 @@ import (
 	"repro/internal/bounds"
 	"repro/internal/heuristics"
 	"repro/internal/instance"
+	"repro/internal/mapping"
 	"repro/internal/par"
 	"repro/internal/stream"
 )
 
 // Solver runs the placement pipeline. The zero value uses the paper's
 // defaults (three-loop server selection, downgrade enabled, seed 0) and
-// one portfolio worker per CPU.
+// one worker per CPU.
 type Solver struct {
 	Options heuristics.Options
-	// Workers bounds the concurrency of SolveAll, Best and SolveBatch:
-	// <= 0 means runtime.GOMAXPROCS(0), 1 forces the serial path. Each
+	// Workers bounds the concurrency of SolveAll and SolveBatch: <= 0
+	// means runtime.GOMAXPROCS(0), 1 forces the serial path. Each
 	// heuristic derives its own rng substream from Options.Seed, so no
-	// randomness is shared across goroutines: SolveAll returns
-	// identical outcomes at every worker count, and Best's cost is
-	// equally deterministic — though when heuristics tie at the cost
-	// lower bound, which one Best reports may vary (see BestCtx).
+	// randomness is shared across goroutines and both return identical
+	// outcomes at every worker count. Best runs its portfolio serially
+	// and ignores Workers.
 	Workers int
 }
 
@@ -101,46 +101,20 @@ func (s *Solver) Best(in *instance.Instance) (*heuristics.Result, error) {
 	return s.BestCtx(context.Background(), in)
 }
 
-// BestCtx runs the portfolio on a bounded worker pool and exits early:
-// once a feasible result matches the instance's provable cost lower
-// bound, the remaining heuristics are cancelled — none of them can do
-// better. The returned cost is deterministic; when several heuristics
-// tie at the lower bound, which one is reported may depend on worker
-// scheduling (every answer is provably optimal).
+// BestCtx runs the portfolio serially in the paper's order and stops
+// early once a feasible result matches the instance's provable cost
+// lower bound — no later heuristic can do better. The winner is
+// deterministic: the first heuristic, in paper order, at the minimum
+// cost. Cancelling ctx aborts between heuristics with an error wrapping
+// ctx's cause.
 func (s *Solver) BestCtx(ctx context.Context, in *instance.Instance) (*heuristics.Result, error) {
 	lb := bounds.CostLowerBound(in)
-	pctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	hs := heuristics.All()
-	results := make([]*heuristics.Result, len(hs))
-	par.ForEach(pctx, s.Workers, len(hs), func(i int) {
-		res, err := heuristics.Solve(in, hs[i], s.Options)
-		if err != nil {
-			return
-		}
-		results[i] = res
-		if res.Cost <= lb+1e-9 {
-			cancel()
-		}
-	})
-	var best *heuristics.Result
-	for _, r := range results {
-		if r != nil && (best == nil || r.Cost < best.Cost) {
-			best = r
-		}
-	}
-	if best == nil {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("core: solve cancelled: %w", err)
-		}
-		return nil, fmt.Errorf("core: every heuristic failed: %w", heuristics.ErrInfeasible)
-	}
-	// A caller-side cancellation may have truncated the portfolio. Only a
-	// result at the lower bound is still trustworthy — anything costlier
-	// could have been beaten by a skipped heuristic, and returning it
-	// would make the reported cost depend on scheduling.
-	if err := ctx.Err(); err != nil && best.Cost > lb+1e-9 {
-		return nil, fmt.Errorf("core: solve cancelled: %w", err)
+	best, err := heuristics.Portfolio(ctx, in, heuristics.All(), s.Options,
+		func(_ heuristics.Heuristic, res *heuristics.Result, err error) bool {
+			return err == nil && res.Cost <= lb+mapping.Eps
+		})
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
 	return best, nil
 }
@@ -164,7 +138,7 @@ func (s *Solver) SolveBatchWith(ctx context.Context, ins []*instance.Instance,
 	results := make([]*heuristics.Result, len(ins))
 	errs := make([]error, len(ins))
 	done, _ := par.ForEachDone(ctx, s.Workers, len(ins), func(i int) {
-		inner := Solver{Options: opts(i), Workers: 1}
+		inner := Solver{Options: opts(i)}
 		results[i], errs[i] = inner.BestCtx(ctx, ins[i])
 	})
 	par.SkipErrors(ctx, done, errs, "core: batch")

@@ -125,6 +125,31 @@ func TestBestCtxMatchesBest(t *testing.T) {
 	}
 }
 
+// TestBestDeterministicWinner pins Best's winner, heuristic name
+// included, as the first minimum of SolveAll in paper order, at every
+// worker count and on repeated runs.
+func TestBestDeterministicWinner(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		in := instance.Generate(instance.Config{NumOps: 40, Alpha: 0.9}, seed)
+		want := (&Solver{}).SolveAll(in)[0]
+		if want.Err != nil {
+			t.Fatalf("seed %d: %v", seed, want.Err)
+		}
+		for _, workers := range []int{1, 2, 8} {
+			for rep := 0; rep < 3; rep++ {
+				got, err := (&Solver{Workers: workers}).Best(in)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Heuristic != want.Name || got.Cost != want.Result.Cost {
+					t.Fatalf("seed %d workers=%d run %d: Best %s/$%v, want %s/$%v", seed, workers, rep,
+						got.Heuristic, got.Cost, want.Name, want.Result.Cost)
+				}
+			}
+		}
+	}
+}
+
 func TestSolveAllCtxCancelled(t *testing.T) {
 	in := instance.Generate(instance.Config{NumOps: 15, Alpha: 1.0}, 1)
 	ctx, cancel := context.WithCancel(context.Background())

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/bounds"
 	"repro/internal/heuristics"
 	"repro/internal/instance"
 	"repro/internal/mapping"
@@ -122,7 +123,7 @@ func Solve(in *instance.Instance, lim Limits) (*Result, error) {
 			slack += speed - m.ComputeLoad(p)
 		}
 		if rem := suffixWork[idx] - slack; rem > 0 {
-			extra := int(math.Ceil(rem/speed - 1e-9))
+			extra := int(math.Ceil(rem/speed - bounds.CeilEps))
 			if used+extra >= bestProcs {
 				return
 			}

@@ -22,8 +22,10 @@
 // almost nothing:
 //
 //   - SolveContext is the per-worker root: it owns the server-selection
-//     Selector, the placement PlaceContext and (with SetReuse) an arena
-//     Mapping, recycled Result and reseedable rng streams.
+//     Selector, the placement PlaceContext and (with SetReuse) two arena
+//     Mappings with recycled Results and reseedable rng streams.
+//     Portfolio runs a heuristic list on it and keeps the cheapest
+//     feasible result in one arena while the rest solve in the other.
 //   - PlaceContext caches the placement strategies' sort and traversal
 //     scratch — the work-descending operator order, the per-catalog
 //     cost-ascending configuration list, the tree edge list and the

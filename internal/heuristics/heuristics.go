@@ -1,6 +1,7 @@
 package heuristics
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -205,33 +206,36 @@ type Result struct {
 
 // SolveContext owns the reusable scratch threaded through repeated Solve
 // calls: the server-selection Selector, the placement-strategy
-// PlaceContext and, when the caller opts in with SetReuse, an arena
-// Mapping, a recycled Result and reseedable random streams. A
+// PlaceContext and, when the caller opts in with SetReuse, two arena
+// Mappings with their recycled Results and reseedable random streams. A
 // SolveContext is not safe for concurrent use: sweep engines hold one per
 // worker.
 type SolveContext struct {
 	sel   Selector
 	place PlaceContext
 
-	// Caller-owned arena (SetReuse(true)): repeated solves rebuild the
-	// mapping in place instead of allocating a fresh one per call.
+	// Caller-owned arenas (SetReuse(true)): repeated solves rebuild the
+	// mapping in place instead of allocating a fresh one per call. Solve
+	// builds in arena[cur]; Portfolio flips cur past each new winner, so
+	// the winner survives the rest of the portfolio without a copy.
 	reuse        bool
-	arena        mapping.Mapping
-	res          Result
+	arena        [2]mapping.Mapping
+	res          [2]Result
+	cur          int
 	prand, srand *rand.Rand // placement / selection streams, reseeded per solve
 }
 
 // NewSolveContext returns an empty reusable solve context.
 func NewSolveContext() *SolveContext { return &SolveContext{} }
 
-// SetReuse switches the context onto its caller-owned mapping arena.
-// With reuse on, Solve rebuilds one arena Mapping in place
+// SetReuse switches the context onto its caller-owned mapping arenas.
+// With reuse on, Solve rebuilds an arena Mapping in place
 // (mapping.Reset) and returns a context-owned Result — both are valid
-// only until the next Solve on this context, so callers that keep a
-// mapping must Clone it. Solutions are bit-for-bit identical to the
-// allocating path; only the storage ownership changes. The package-level
-// Solve also runs on a pooled arena and clones the winning mapping out,
-// so its escaping results never pin pool-owned storage.
+// only until the next Solve or Portfolio on this context, so callers
+// that keep a mapping must Clone it. Solutions are bit-for-bit
+// identical to the allocating path; only the storage ownership changes.
+// The package-level Solve and Portfolio also run on a pooled arena and
+// clone the result out, so their results never pin pool-owned storage.
 func (c *SolveContext) SetReuse(on bool) { c.reuse = on }
 
 // solveCtxPool backs the package-level Solve so one-shot callers reuse
@@ -254,18 +258,30 @@ var solveCtxPool = sync.Pool{New: func() any {
 // lifetime caveats — and bit-for-bit identical to a non-arena solve.
 func Solve(in *instance.Instance, h Heuristic, opts Options) (*Result, error) {
 	c := solveCtxPool.Get().(*SolveContext)
-	res, err := c.Solve(in, h, opts)
-	var out *Result
-	if err == nil {
-		out = &Result{
-			Heuristic: res.Heuristic,
-			Mapping:   res.Mapping.Clone(),
-			Cost:      res.Cost,
-			Procs:     res.Procs,
-		}
+	defer solveCtxPool.Put(c)
+	return cloneOut(c.Solve(in, h, opts))
+}
+
+// Portfolio is the one-shot form of (*SolveContext).Portfolio: it runs on
+// a pooled context and returns a caller-owned clone of the winner.
+func Portfolio(ctx context.Context, in *instance.Instance, hs []Heuristic, opts Options,
+	visit func(h Heuristic, res *Result, err error) (stop bool)) (*Result, error) {
+	c := solveCtxPool.Get().(*SolveContext)
+	defer solveCtxPool.Put(c)
+	return cloneOut(c.Portfolio(ctx, in, hs, opts, visit))
+}
+
+// cloneOut copies a context-owned result into caller-owned storage.
+func cloneOut(res *Result, err error) (*Result, error) {
+	if err != nil {
+		return nil, err
 	}
-	solveCtxPool.Put(c)
-	return out, err
+	return &Result{
+		Heuristic: res.Heuristic,
+		Mapping:   res.Mapping.Clone(),
+		Cost:      res.Cost,
+		Procs:     res.Procs,
+	}, nil
 }
 
 // Solve runs the full pipeline on the context's reusable scratch. With
@@ -279,7 +295,7 @@ func (c *SolveContext) Solve(in *instance.Instance, h Heuristic, opts Options) (
 	var m *mapping.Mapping
 	var r *rand.Rand
 	if c.reuse {
-		m = &c.arena
+		m = &c.arena[c.cur]
 		m.Reset(in)
 		if c.prand == nil {
 			c.prand, c.srand = rng.New(0), rng.New(0)
@@ -330,9 +346,11 @@ func (c *SolveContext) Solve(in *instance.Instance, h Heuristic, opts Options) (
 	if err := m.Validate(); err != nil {
 		return nil, fmt.Errorf("%s produced an invalid mapping: %v", h.Name(), err)
 	}
-	res := &Result{}
+	var res *Result
 	if c.reuse {
-		res = &c.res
+		res = &c.res[c.cur]
+	} else {
+		res = new(Result)
 	}
 	*res = Result{
 		Heuristic: h.Name(),
@@ -341,6 +359,43 @@ func (c *SolveContext) Solve(in *instance.Instance, h Heuristic, opts Options) (
 		Procs:     m.NumAlive(),
 	}
 	return res, nil
+}
+
+// Portfolio runs hs in order on the context and returns the cheapest
+// feasible result — the paper's practical answer. Ties go to the earliest
+// heuristic in hs (a strict <), so the winner never depends on anything
+// but the list order. ctx is checked before each heuristic; a
+// cancellation returns an error wrapping context.Cause(ctx), and a
+// portfolio in which nothing is feasible an error wrapping ErrInfeasible.
+//
+// visit, when non-nil, sees every outcome in order (res is nil when err
+// is not, and context-owned until the next solve otherwise); returning
+// true stops the portfolio with the best result so far.
+//
+// With SetReuse(true) the winner stays in its arena while the remaining
+// heuristics solve into the other one, so it is returned without being
+// solved again; like Solve's result it is valid until the next Solve or
+// Portfolio on this context.
+func (c *SolveContext) Portfolio(ctx context.Context, in *instance.Instance, hs []Heuristic, opts Options,
+	visit func(h Heuristic, res *Result, err error) (stop bool)) (*Result, error) {
+	var best *Result
+	for _, h := range hs {
+		if ctx.Err() != nil {
+			return nil, fmt.Errorf("portfolio cancelled: %w", context.Cause(ctx))
+		}
+		res, err := c.Solve(in, h, opts)
+		if err == nil && (best == nil || res.Cost < best.Cost) {
+			best = res
+			c.cur ^= 1
+		}
+		if visit != nil && visit(h, res, err) {
+			break
+		}
+	}
+	if best == nil {
+		return nil, fmt.Errorf("every heuristic failed: %w", ErrInfeasible)
+	}
+	return best, nil
 }
 
 // Precheck fails fast on instances no allocation can satisfy: an operator

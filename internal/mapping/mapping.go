@@ -136,7 +136,12 @@ func (m *Mapping) Reset(in *instance.Instance) {
 			m.DL[p] = nil
 		}
 	}
-	for p := range m.opsOn {
+	// Recycle the operator lists last-slot-first, so Buy (which pops the
+	// freelist) hands each processor slot the list that slot had before.
+	// A list then only grows to the most operators its slot ever hosted;
+	// in slot order the lists would rotate between slots and every one
+	// would grow to the largest list any slot ever held.
+	for p := len(m.opsOn) - 1; p >= 0; p-- {
 		if m.opsOn[p] != nil {
 			m.opsFree = append(m.opsFree, m.opsOn[p][:0])
 			m.opsOn[p] = nil
@@ -551,10 +556,10 @@ func (m *Mapping) gatherLinks(p int, s *scratch) []int {
 // identical to the historical implementation's.
 func (m *Mapping) ProcFeasible(p int) error {
 	cat := m.Inst.Platform.Catalog
-	if load, cap := m.ComputeLoad(p), cat.SpeedUnits(m.Procs[p].Config); load > cap+eps {
+	if load, cap := m.ComputeLoad(p), cat.SpeedUnits(m.Procs[p].Config); load > cap+Eps {
 		return fmt.Errorf("mapping: processor %d compute overload %.3f > %.3f units/s", p, load, cap)
 	}
-	if load, cap := m.NICLoad(p), cat.BandwidthMBps(m.Procs[p].Config); load > cap+eps {
+	if load, cap := m.NICLoad(p), cat.BandwidthMBps(m.Procs[p].Config); load > cap+Eps {
 		return fmt.Errorf("mapping: processor %d NIC overload %.3f > %.3f MB/s", p, load, cap)
 	}
 	s := m.scratchFor()
@@ -567,7 +572,7 @@ func (m *Mapping) ProcFeasible(p int) error {
 	}
 	var err error
 	for _, q := range touched {
-		if tr := s.linkAmt[q]; err == nil && tr > m.Inst.Platform.ProcLinkMBps+eps {
+		if tr := s.linkAmt[q]; err == nil && tr > m.Inst.Platform.ProcLinkMBps+Eps {
 			err = fmt.Errorf("mapping: link %d-%d overload %.3f > %.3f MB/s", p, q, tr, m.Inst.Platform.ProcLinkMBps)
 		}
 		s.linkOn[q] = false
@@ -582,17 +587,17 @@ func (m *Mapping) ProcFeasible(p int) error {
 // reason, so formatting it dominated the probe cost.
 func (m *Mapping) procFeasible(p int) bool {
 	cat := m.Inst.Platform.Catalog
-	if m.ComputeLoad(p) > cat.SpeedUnits(m.Procs[p].Config)+eps {
+	if m.ComputeLoad(p) > cat.SpeedUnits(m.Procs[p].Config)+Eps {
 		return false
 	}
-	if m.NICLoad(p) > cat.BandwidthMBps(m.Procs[p].Config)+eps {
+	if m.NICLoad(p) > cat.BandwidthMBps(m.Procs[p].Config)+Eps {
 		return false
 	}
 	s := m.scratchFor()
 	touched := m.gatherLinks(p, s)
 	ok := true
 	for _, q := range touched {
-		if s.linkAmt[q] > m.Inst.Platform.ProcLinkMBps+eps {
+		if s.linkAmt[q] > m.Inst.Platform.ProcLinkMBps+Eps {
 			ok = false
 		}
 		s.linkOn[q] = false
@@ -609,9 +614,6 @@ func (m *Mapping) procFeasible(p int) bool {
 // (load > cap+Eps fails), so construction and verification can never
 // disagree about feasibility at the boundary.
 const Eps = 1e-9
-
-// eps is the internal alias predating the export.
-const eps = Eps
 
 // TryPlace tentatively places ops on p; if any of constraints (1), (2),
 // (5) would be violated for p or for a processor hosting a neighbour of
@@ -954,14 +956,14 @@ func (m *Mapping) Validate() error {
 		}
 	}
 	for l := range in.Platform.Servers {
-		if load, cap := m.ServerLoad(l), in.Platform.Servers[l].NICMBps; load > cap+eps {
+		if load, cap := m.ServerLoad(l), in.Platform.Servers[l].NICMBps; load > cap+Eps {
 			return fmt.Errorf("mapping: server %d NIC overload %.3f > %.3f MB/s", l, load, cap)
 		}
 		for p := range m.Procs {
 			if !m.Procs[p].Alive {
 				continue
 			}
-			if load := m.ServerLinkLoad(l, p); load > in.Platform.ServerLinkMBps+eps {
+			if load := m.ServerLinkLoad(l, p); load > in.Platform.ServerLinkMBps+Eps {
 				return fmt.Errorf("mapping: server link %d->%d overload %.3f > %.3f MB/s", l, p, load, in.Platform.ServerLinkMBps)
 			}
 		}

@@ -547,6 +547,38 @@ func TestResetMatchesNew(t *testing.T) {
 	}
 }
 
+// TestResetKeepsListsPerSlot pins how Reset recycles operator lists:
+// after a Reset, the k-th processor bought gets the list the k-th
+// processor had before, so a slot that hosted many operators does not
+// pass its grown list to another slot.
+func TestResetKeepsListsPerSlot(t *testing.T) {
+	in := instance.Generate(instance.Config{NumOps: 20, Alpha: 0.9}, 1)
+	m := New(in)
+	cfg := in.Platform.Catalog.MostExpensive()
+	fill := func() { // processors hosting 10, 1 and 6 operators
+		op := 0
+		for p, n := range []int{10, 1, 6} {
+			m.Buy(cfg)
+			for i := 0; i < n; i++ {
+				m.Place(op, p)
+				op++
+			}
+		}
+	}
+	fill()
+	var before [3]*int
+	for p := range before {
+		before[p] = &m.opsOn[p][:1][0]
+	}
+	m.Reset(in)
+	fill()
+	for p := range before {
+		if got := &m.opsOn[p][:1][0]; got != before[p] {
+			t.Fatalf("processor %d got another slot's operator list after Reset", p)
+		}
+	}
+}
+
 // TestResetSteadyStateAllocs pins the arena: after warm-up, a
 // Reset/Buy/Place/SelectServer cycle allocates nothing.
 func TestResetSteadyStateAllocs(t *testing.T) {

@@ -103,6 +103,9 @@ func (h Refined) Place(pc *heuristics.PlaceContext, m *mapping.Mapping, r *rand.
 		deadline = time.Now().Add(h.Budget)
 	}
 
+	// This seeding does not use heuristics.Portfolio: it ranks bare
+	// placements before server selection, on per-candidate streams drawn
+	// from r, rather than keeping the cheapest finished solve.
 	cands := heuristics.All()
 	// Per-candidate placement streams, drawn up front in plot order so
 	// evaluation order cannot perturb them.

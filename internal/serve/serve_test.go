@@ -404,6 +404,39 @@ func TestStatszCounters(t *testing.T) {
 	}
 }
 
+// TestSolveRunsEachHeuristicOnce pins the worker's solve count: a
+// feasible full-portfolio request runs each of the six heuristics once
+// (the winner is rendered from its arena, not solved again), and a
+// single-heuristic request runs exactly one solve.
+func TestSolveRunsEachHeuristicOnce(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1})
+	solves := func() int64 {
+		var st statszResponse
+		if err := json.Unmarshal(do(t, s, "GET", "/statsz", nil).Body.Bytes(), &st); err != nil {
+			t.Fatal(err)
+		}
+		var n int64
+		for _, w := range st.PerWorker {
+			n += w.Solves
+		}
+		return n
+	}
+	rec := do(t, s, "POST", "/v1/solve", []byte(`{"ref":{"n":60,"alpha":0.9,"seed":1}}`))
+	var resp SolveResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || rec.Code != http.StatusOK || !resp.Feasible {
+		t.Fatalf("portfolio solve: %d %s", rec.Code, rec.Body.String())
+	}
+	if n := solves(); n != 6 {
+		t.Fatalf("full-portfolio request ran %d solves, want 6", n)
+	}
+	if rec := do(t, s, "POST", "/v1/solve", []byte(`{"ref":{"n":60,"alpha":0.9,"seed":1},"heuristic":"Comp-Greedy"}`)); rec.Code != http.StatusOK {
+		t.Fatalf("single solve: %d %s", rec.Code, rec.Body.String())
+	}
+	if n := solves(); n != 7 {
+		t.Fatalf("single-heuristic request ran %d solves, want 1", n-6)
+	}
+}
+
 // waitFor polls cond with a deadline; used where the interesting state
 // is reached asynchronously but promptly.
 func waitFor(t *testing.T, cond func() bool) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"sort"
@@ -70,7 +71,6 @@ type solveRequest struct {
 	inst      *instance.Instance // inline instance, nil when ref-derived
 	ref       *CorpusRef
 	hs        []heuristics.Heuristic
-	portfolio bool // true when the full portfolio was requested
 	Seed      int64
 	TimeoutMS int64
 }
@@ -221,7 +221,6 @@ func parseSolveRequest(body []byte, maxOps int) (*solveRequest, *httpError) {
 		inst:      wire.Instance,
 		ref:       wire.Ref,
 		hs:        hs,
-		portfolio: len(hs) > 1,
 		Seed:      wire.Seed,
 		TimeoutMS: wire.TimeoutMS,
 	}, nil
@@ -335,62 +334,43 @@ func (e *env) instanceFor(ref *CorpusRef, inline *instance.Instance) *instance.I
 	return e.gen.Generate(instance.Config{NumOps: ref.N, Alpha: ref.Alpha}, ref.Seed)
 }
 
-// solveOnce runs one heuristic on the worker's arena, counting stats.
-func (e *env) solveOnce(ws *workerStats, in *instance.Instance, h heuristics.Heuristic, seed int64) (*heuristics.Result, error) {
-	ws.solves.Add(1)
-	if e.warmed {
-		ws.arenaReuses.Add(1)
-	}
-	return e.sc.Solve(in, h, heuristics.Options{Seed: seed})
-}
-
-// runSolve executes the portfolio serially on this worker's arena: one
-// pass over the requested heuristics for the breakdown, then a re-solve
-// of the winner to materialize its mapping for rendering (the arena
-// holds only the latest solution). Ties break in the paper's fixed
-// heuristic order, so the response never depends on scheduling.
+// runSolve executes the requested heuristics serially on this worker's
+// arena and renders every outcome plus the winner, which the portfolio
+// keeps in its arena, so nothing is solved twice. Ties break in the
+// paper's fixed heuristic order, so the response never depends on
+// scheduling.
 func (e *env) runSolve(ws *workerStats, ctx context.Context, req *solveRequest) jobResult {
 	in := e.instanceFor(req.ref, req.inst)
 	resp := SolveResponse{
 		LowerBound: bounds.CostLowerBound(in),
 		Outcomes:   make([]OutcomeJSON, 0, len(req.hs)),
 	}
-	bestIdx, bestCost := -1, 0.0
-	var bestRes *heuristics.Result
-	for i, h := range req.hs {
-		if ctx.Err() != nil {
-			return errorResult(http.StatusGatewayTimeout, "deadline exceeded mid-portfolio")
-		}
-		res, err := e.solveOnce(ws, in, h, req.Seed)
-		if err != nil {
-			resp.Outcomes = append(resp.Outcomes, OutcomeJSON{Heuristic: h.Name(), Error: err.Error()})
-			continue
-		}
-		resp.Outcomes = append(resp.Outcomes, OutcomeJSON{
-			Heuristic: h.Name(), Cost: res.Cost, Procs: res.Procs,
-		})
-		if bestIdx < 0 || res.Cost < bestCost {
-			bestIdx, bestCost, bestRes = i, res.Cost, res
-		}
-	}
-	if bestIdx >= 0 {
-		if req.portfolio {
-			// The arena was overwritten by later heuristics; re-solving the
-			// winner is deterministic and allocation-free.
-			var err error
-			bestRes, err = e.solveOnce(ws, in, req.hs[bestIdx], req.Seed)
-			if err != nil {
-				return errorResult(http.StatusInternalServerError,
-					fmt.Sprintf("re-solving winner %s: %v", req.hs[bestIdx].Name(), err))
+	best, err := e.sc.Portfolio(ctx, in, req.hs, heuristics.Options{Seed: req.Seed},
+		func(h heuristics.Heuristic, res *heuristics.Result, err error) bool {
+			ws.solves.Add(1)
+			if e.warmed {
+				ws.arenaReuses.Add(1)
 			}
-		}
+			if err != nil {
+				resp.Outcomes = append(resp.Outcomes, OutcomeJSON{Heuristic: h.Name(), Error: err.Error()})
+			} else {
+				resp.Outcomes = append(resp.Outcomes, OutcomeJSON{
+					Heuristic: h.Name(), Cost: res.Cost, Procs: res.Procs,
+				})
+			}
+			return false
+		})
+	switch {
+	case err == nil:
 		resp.Feasible = true
 		resp.Best = &BestJSON{
-			Heuristic: bestRes.Heuristic,
-			Cost:      bestRes.Cost,
-			Procs:     bestRes.Procs,
-			Mapping:   buildMappingSpec(bestRes.Mapping),
+			Heuristic: best.Heuristic,
+			Cost:      best.Cost,
+			Procs:     best.Procs,
+			Mapping:   buildMappingSpec(best.Mapping),
 		}
+	case !errors.Is(err, heuristics.ErrInfeasible):
+		return errorResult(http.StatusGatewayTimeout, "deadline exceeded mid-portfolio")
 	}
 	body, err := json.Marshal(&resp)
 	if err != nil {
